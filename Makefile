@@ -105,7 +105,7 @@ bench-guard:
 # the archive itself: it fails on a >10% Mpps drop against the previous
 # archived numbers or scaling efficiency below 0.6 — full-benchtime
 # max-estimator runs are comparable at that band.
-BENCH_HOTPATH = Fig9aCores|PipelineScaling|EncodePerPacket|ProcessBatchPerPacket|ProcessBatchCachedPerPacket|RCCEncode|FlowRegulatorProcess|WSAFAccumulate|FlowKeyHash
+BENCH_HOTPATH = Fig9aCores|PipelineScaling|EncodePerPacket|ProcessBatchPerPacket|ProcessBatchCachedPerPacket|RCCEncode|RCCLocate|FlowRegulatorProcess|WSAFAccumulate|FlowKeyHash|PcapDecode
 bench-json:
 	$(GO) test -bench '$(BENCH_HOTPATH)' -benchmem -run '^$$' . | \
 		$(GO) run ./cmd/benchjson -guard -o BENCH_hotpath.json \

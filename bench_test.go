@@ -9,7 +9,10 @@ package instameasure
 //	go test -bench=. -benchmem
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"testing"
 
@@ -17,6 +20,7 @@ import (
 	"instameasure/internal/experiments"
 	"instameasure/internal/flowreg"
 	"instameasure/internal/packet"
+	"instameasure/internal/pcap"
 	"instameasure/internal/pipeline"
 	"instameasure/internal/rcc"
 	"instameasure/internal/trace"
@@ -171,6 +175,68 @@ func BenchmarkRCCEncode(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		c.Encode(hashes[i%len(hashes)])
 	}
+}
+
+// BenchmarkRCCLocate isolates the per-packet virtual-vector resolution the
+// regulator does before touching the pool: span selection plus v position
+// draws from the flow's Mix64 stream.
+func BenchmarkRCCLocate(b *testing.B) {
+	c := rcc.MustNew(rcc.Config{MemoryBytes: 32 << 10, VectorBits: 8, Seed: 1})
+	tr := benchTrace(b)
+	hashes := make([]uint64, len(tr.Packets))
+	for i := range tr.Packets {
+		hashes[i] = tr.Packets[i].Key.Hash64(1)
+	}
+	var loc rcc.Location
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Locate(hashes[i%len(hashes)], &loc)
+	}
+}
+
+// BenchmarkPcapDecode is the CLI -pcap decode layer alone: an in-memory
+// Ethernet capture (64-byte snap, as a header-only capture would be) read
+// by the pcap reader and parsed into packets through PcapSource.NextBatch.
+// One op is one packet; the capture is reopened at its end.
+func BenchmarkPcapDecode(b *testing.B) {
+	tr, err := trace.GenerateZipf(trace.ZipfConfig{Flows: 50_000, TotalPackets: 200_000, Seed: 7})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var capture bytes.Buffer
+	if err := tr.WritePcap(&capture, 64); err != nil {
+		b.Fatal(err)
+	}
+	open := func() *trace.PcapSource {
+		r, err := pcap.NewReader(bytes.NewReader(capture.Bytes()))
+		if err != nil {
+			b.Fatal(err)
+		}
+		src, err := trace.NewPcapSource(r)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return src
+	}
+	src := open()
+	pkts := make([]packet.Packet, 256)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for done := 0; done < b.N; {
+		n, err := src.NextBatch(pkts[:min(len(pkts), b.N-done)])
+		if errors.Is(err, io.EOF) {
+			src = open()
+			continue
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+		done += n
+	}
+	ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+	b.ReportMetric(ns, "ns/pkt")
+	b.ReportMetric(1e3/ns, "Mpps")
 }
 
 func BenchmarkFlowRegulatorProcess(b *testing.B) {

@@ -2,8 +2,12 @@ package instameasure
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"testing"
+
+	"instameasure/internal/pcap"
+	"instameasure/internal/trace"
 )
 
 func testTrace(t *testing.T) *Trace {
@@ -308,6 +312,24 @@ func TestPcapRoundTripThroughPublicAPI(t *testing.T) {
 	if got.Flows() != tr.Flows() || len(got.Packets) != len(tr.Packets) {
 		t.Errorf("round trip: %d/%d flows, %d/%d packets",
 			got.Flows(), tr.Flows(), len(got.Packets), len(tr.Packets))
+	}
+}
+
+func TestOpenPcapRejectsUnsupportedLinkType(t *testing.T) {
+	var buf bytes.Buffer
+	w := pcap.NewWriter(&buf, pcap.LinkType(113), 0) // DLT_LINUX_SLL
+	if err := w.Write(1e9, 60, make([]byte, 60)); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	if src, err := OpenPcapStream(bytes.NewReader(raw)); !errors.Is(err, trace.ErrLinkType) || src != nil {
+		t.Errorf("OpenPcapStream on DLT 113 = %v, %v; want nil, ErrLinkType", src, err)
+	}
+	if _, err := ReadPcap(bytes.NewReader(raw)); !errors.Is(err, trace.ErrLinkType) {
+		t.Errorf("ReadPcap on DLT 113 err = %v, want ErrLinkType", err)
 	}
 }
 

@@ -149,5 +149,5 @@ func TestSeqprotoGolden(t *testing.T) {
 }
 
 func TestWireboundGolden(t *testing.T) {
-	runGolden(t, Wirebound, "wirebound/export", "wirebound/store", "wirebound/free")
+	runGolden(t, Wirebound, "wirebound/export", "wirebound/store", "wirebound/pcap", "wirebound/free")
 }

@@ -20,7 +20,9 @@ var wireboundScopes = []string{"export", "store", "pcap"}
 // SOURCES (per function): results of encoding/binary Uint16/32/64 reads
 // (package functions and ByteOrder interface methods alike), and bytes
 // indexed out of a buffer previously filled by io.ReadFull/ReadAtLeast or
-// an io.Reader Read in the same function.
+// an io.Reader Read in the same function, or returned by a
+// (*bufio.Reader).Peek — the zero-copy decode shape, where the wire bytes
+// are the reader's own buffer.
 //
 // Taint propagates through assignment, arithmetic, and conversions, into
 // locals and struct-field paths. It STOPS at any comparison mentioning
@@ -29,7 +31,8 @@ var wireboundScopes = []string{"export", "store", "pcap"}
 // results (a decode helper is responsible for its own inputs).
 //
 // SINKS: make() sizes and capacities, slice/array index expressions,
-// slice bounds, and io.ReadFull/ReadAtLeast/CopyN arguments. A tainted
+// slice bounds, io.ReadFull/ReadAtLeast/CopyN arguments, and the length
+// arguments of (*bufio.Reader).Peek and Discard. A tainted
 // value reaching a sink unchecked is exactly how IMB1's count field
 // became a 2^32-record allocation before PR 3 capped it.
 //
@@ -122,6 +125,8 @@ func checkWirebound(prog *Program, body *ast.BlockStmt, report func(token.Pos, s
 					events = append(events, wireEvent{pos: n.Pos(), kind: evSink, sinkExprs: n.Args[1:], desc: "io." + name})
 				case pkgPath == "io" && name == "CopyN":
 					events = append(events, wireEvent{pos: n.Pos(), kind: evSink, sinkExprs: n.Args, desc: "io.CopyN"})
+				case pkgPath == "bufio" && (name == "Peek" || name == "Discard"):
+					events = append(events, wireEvent{pos: n.Pos(), kind: evSink, sinkExprs: n.Args, desc: "bufio." + name})
 				case (pkgPath == "io" || pkgPath == "net" || pkgPath == "bufio") && name == "Read":
 					// r.Read(buf): buf carries wire bytes afterwards.
 					if len(n.Args) == 1 {
@@ -132,6 +137,15 @@ func checkWirebound(prog *Program, body *ast.BlockStmt, report func(token.Pos, s
 				}
 			}
 		case *ast.AssignStmt:
+			// buf, err := br.Peek(n): buf is the reader's buffer holding
+			// the next n wire bytes.
+			if len(n.Rhs) == 1 {
+				if call, ok := ast.Unparen(n.Rhs[0]).(*ast.CallExpr); ok && isBufioPeek(info, call) {
+					if obj := rootObj(info, n.Lhs[0]); obj != nil {
+						events = append(events, wireEvent{pos: n.Pos(), kind: evWireBuf, obj: obj})
+					}
+				}
+			}
 			if len(n.Lhs) == len(n.Rhs) {
 				for i := range n.Lhs {
 					if k, s, ok := keyOf(info, n.Lhs[i]); ok {
@@ -280,6 +294,12 @@ func checkWirebound(prog *Program, body *ast.BlockStmt, report func(token.Pos, s
 			}
 		}
 	}
+}
+
+// isBufioPeek reports whether call is (*bufio.Reader).Peek.
+func isBufioPeek(info *types.Info, call *ast.CallExpr) bool {
+	callee := staticCallee(info, call)
+	return callee != nil && callee.Pkg() != nil && callee.Pkg().Path() == "bufio" && callee.Name() == "Peek"
 }
 
 // keyOf resolves an lvalue-ish expression to a taint key: a bare variable

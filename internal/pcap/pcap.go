@@ -58,14 +58,20 @@ type Record struct {
 	Data    []byte
 }
 
+// recordHeaderLen is the size of a per-record header: ts_sec, ts_subsec,
+// incl_len, orig_len, each a uint32 in the capture's byte order.
+const recordHeaderLen = 16
+
 // Reader streams records from a pcap file.
 type Reader struct {
-	r        *bufio.Reader
-	order    binary.ByteOrder
-	nanos    bool
-	linkType LinkType
-	snapLen  uint32
-	buf      []byte
+	r         *bufio.Reader
+	bigEndian bool
+	nanos     bool
+	linkType  LinkType
+	snapLen   uint32
+	// buf assembles bodies too large for r's buffer (the chunked path);
+	// smaller bodies are returned in place from r's buffer.
+	buf []byte
 }
 
 // NewReader parses the pcap global header from r and returns a Reader.
@@ -97,11 +103,11 @@ func NewReader(r io.Reader) (*Reader, error) {
 	}
 
 	return &Reader{
-		r:        br,
-		order:    order,
-		nanos:    nanos,
-		linkType: LinkType(order.Uint32(hdr[20:24])),
-		snapLen:  order.Uint32(hdr[16:20]),
+		r:         br,
+		bigEndian: order == binary.BigEndian,
+		nanos:     nanos,
+		linkType:  LinkType(order.Uint32(hdr[20:24])),
+		snapLen:   order.Uint32(hdr[16:20]),
 	}, nil
 }
 
@@ -114,18 +120,38 @@ func (r *Reader) SnapLen() int { return int(r.snapLen) }
 // Next returns the next record. The record's Data slice is reused between
 // calls; copy it if it must outlive the next Next. At end of file it
 // returns io.EOF.
+//
+// The record header, and the body whenever it fits the read buffer, are
+// decoded in place from the buffer (Peek then Discard): no copy and no
+// allocation per record. Larger bodies take the chunked path. Discarding
+// bytes already returned by Peek cannot fail, since they are buffered.
 func (r *Reader) Next() (Record, error) {
-	var hdr [16]byte
-	if _, err := io.ReadFull(r.r, hdr[:]); err != nil {
-		if errors.Is(err, io.EOF) {
-			return Record{}, io.EOF
+	hdr, err := r.r.Peek(recordHeaderLen)
+	if len(hdr) < recordHeaderLen {
+		// Consume the partial header so a retry sees end of stream, as
+		// it would after a short io.ReadFull.
+		_, _ = r.r.Discard(len(hdr))
+		if err == io.EOF {
+			if len(hdr) == 0 {
+				return Record{}, io.EOF
+			}
+			err = io.ErrUnexpectedEOF
 		}
 		return Record{}, fmt.Errorf("record header: %w", err)
 	}
-	sec := int64(r.order.Uint32(hdr[0:4]))
-	sub := int64(r.order.Uint32(hdr[4:8]))
-	inclLen := r.order.Uint32(hdr[8:12])
-	origLen := r.order.Uint32(hdr[12:16])
+	var sec, sub, inclLen, origLen uint32
+	if r.bigEndian {
+		sec = binary.BigEndian.Uint32(hdr[0:4])
+		sub = binary.BigEndian.Uint32(hdr[4:8])
+		inclLen = binary.BigEndian.Uint32(hdr[8:12])
+		origLen = binary.BigEndian.Uint32(hdr[12:16])
+	} else {
+		sec = binary.LittleEndian.Uint32(hdr[0:4])
+		sub = binary.LittleEndian.Uint32(hdr[4:8])
+		inclLen = binary.LittleEndian.Uint32(hdr[8:12])
+		origLen = binary.LittleEndian.Uint32(hdr[12:16])
+	}
+	_, _ = r.r.Discard(recordHeaderLen)
 
 	if r.snapLen > 0 && inclLen > r.snapLen {
 		return Record{}, fmt.Errorf("%w: incl=%d snap=%d", ErrSnapLen, inclLen, r.snapLen)
@@ -137,36 +163,58 @@ func (r *Reader) Next() (Record, error) {
 		return Record{}, fmt.Errorf("%w: incl=%d exceeds %d-byte cap", ErrCorruptHdr, inclLen, maxRecordBytes)
 	}
 
-	// Read the body in chunks so the buffer only grows as bytes actually
-	// arrive; a truncated stream fails after at most one readChunk
-	// allocation regardless of the claimed length.
-	r.buf = r.buf[:0]
-	for remaining := int(inclLen); remaining > 0; {
-		n := min(remaining, readChunk)
-		off := len(r.buf)
-		if cap(r.buf) < off+n {
-			grown := make([]byte, off+n, max(off+n, 2*cap(r.buf)))
-			copy(grown, r.buf)
-			r.buf = grown
-		} else {
-			r.buf = r.buf[:off+n]
-		}
-		if _, err := io.ReadFull(r.r, r.buf[off:]); err != nil {
+	var data []byte
+	if n := int(inclLen); n <= r.r.Size() {
+		body, err := r.r.Peek(n)
+		if len(body) < n {
+			_, _ = r.r.Discard(len(body))
 			if errors.Is(err, io.EOF) {
 				err = io.ErrUnexpectedEOF
 			}
 			return Record{}, fmt.Errorf("record body: %w", err)
 		}
-		remaining -= n
+		_, _ = r.r.Discard(n)
+		// Cap the slice so an append by the caller cannot overwrite the
+		// unread bytes behind it in the buffer.
+		data = body[:n:n]
+	} else if data, err = r.readChunked(n); err != nil {
+		return Record{}, fmt.Errorf("record body: %w", err)
 	}
 
-	ts := sec * 1e9
+	ts := int64(sec) * 1e9
 	if r.nanos {
-		ts += sub
+		ts += int64(sub)
 	} else {
-		ts += sub * 1e3
+		ts += int64(sub) * 1e3
 	}
-	return Record{TS: ts, WireLen: int(origLen), Data: r.buf}, nil
+	return Record{TS: ts, WireLen: int(origLen), Data: data}, nil
+}
+
+// readChunked reads an n-byte body larger than the read buffer into r.buf
+// in readChunk steps, so the buffer only grows as bytes actually arrive: a
+// truncated stream fails after at most one readChunk allocation regardless
+// of the claimed length. n has passed Next's snap-length and size checks.
+func (r *Reader) readChunked(n int) ([]byte, error) {
+	r.buf = r.buf[:0]
+	for remaining := n; remaining > 0; {
+		step := min(remaining, readChunk)
+		off := len(r.buf)
+		if cap(r.buf) < off+step {
+			grown := make([]byte, off+step, max(off+step, 2*cap(r.buf)))
+			copy(grown, r.buf)
+			r.buf = grown
+		} else {
+			r.buf = r.buf[:off+step]
+		}
+		if _, err := io.ReadFull(r.r, r.buf[off:]); err != nil {
+			if errors.Is(err, io.EOF) {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
+		remaining -= step
+	}
+	return r.buf, nil
 }
 
 // Writer streams records to a pcap file in little-endian, nanosecond-
@@ -176,6 +224,9 @@ type Writer struct {
 	snapLen uint32
 	wrote   bool
 	link    LinkType
+	// hdr is scratch for encoding headers; a local array would escape
+	// through the bufio.Writer call and cost an allocation per record.
+	hdr [24]byte
 }
 
 // NewWriter returns a Writer that will emit a capture of the given link
@@ -206,12 +257,12 @@ func (w *Writer) Write(ts int64, wireLen int, data []byte) error {
 	if wireLen < len(data) {
 		wireLen = len(data)
 	}
-	var hdr [16]byte
+	hdr := w.hdr[:recordHeaderLen]
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(ts/1e9))
 	binary.LittleEndian.PutUint32(hdr[4:8], uint32(ts%1e9))
 	binary.LittleEndian.PutUint32(hdr[8:12], uint32(len(data)))
 	binary.LittleEndian.PutUint32(hdr[12:16], uint32(wireLen))
-	if _, err := w.w.Write(hdr[:]); err != nil {
+	if _, err := w.w.Write(hdr); err != nil {
 		return fmt.Errorf("record header: %w", err)
 	}
 	if _, err := w.w.Write(data); err != nil {
@@ -233,7 +284,7 @@ func (w *Writer) Flush() error {
 }
 
 func (w *Writer) writeGlobalHeader() error {
-	var hdr [24]byte
+	hdr := &w.hdr
 	binary.LittleEndian.PutUint32(hdr[0:4], magicNanos)
 	binary.LittleEndian.PutUint16(hdr[4:6], 2) // version major
 	binary.LittleEndian.PutUint16(hdr[6:8], 4) // version minor

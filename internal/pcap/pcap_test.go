@@ -245,3 +245,58 @@ func TestTruncatedRecordBody(t *testing.T) {
 		t.Error("truncated body must fail")
 	}
 }
+
+// allocRuns is the AllocsPerRun iteration count for the steady-state
+// allocation tests below.
+const allocRuns = 1000
+
+// TestReaderNextZeroAlloc: a record that fits the read buffer is decoded in
+// place — no allocation per record.
+func TestReaderNextZeroAlloc(t *testing.T) {
+	var buf bytes.Buffer
+	w := NewWriter(&buf, LinkEthernet, 0)
+	frame := make([]byte, 64)
+	for i := 0; i < 2*allocRuns; i++ {
+		if err := w.Write(int64(i), 90, frame); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewReader(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var nextErr error
+	allocs := testing.AllocsPerRun(allocRuns, func() {
+		if _, err := r.Next(); err != nil {
+			nextErr = err
+		}
+	})
+	if nextErr != nil {
+		t.Fatal(nextErr)
+	}
+	if allocs != 0 {
+		t.Errorf("Reader.Next: %.2f allocs/record, want 0", allocs)
+	}
+}
+
+// TestWriterWriteZeroAlloc: the record header is encoded into Writer-owned
+// scratch, not a per-call array that escapes through the bufio.Writer.
+func TestWriterWriteZeroAlloc(t *testing.T) {
+	w := NewWriter(io.Discard, LinkEthernet, 0)
+	frame := make([]byte, 64)
+	var writeErr error
+	allocs := testing.AllocsPerRun(allocRuns, func() {
+		if err := w.Write(1e9, 90, frame); err != nil {
+			writeErr = err
+		}
+	})
+	if writeErr != nil {
+		t.Fatal(writeErr)
+	}
+	if allocs != 0 {
+		t.Errorf("Writer.Write: %.2f allocs/record, want 0", allocs)
+	}
+}

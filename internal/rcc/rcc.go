@@ -120,17 +120,24 @@ type Location struct {
 // Counter is one RCC instance over a private bit pool. It is not safe for
 // concurrent use; the pipeline gives each worker its own Counter.
 type Counter struct {
-	cfg    Config
-	words  []uint64
-	nWords uint64
-	// nSpans and spansPerWord implement the 32-bit confinement option:
+	cfg   Config
+	words []uint64
+	// nSpans and the span fields implement the 32-bit confinement option:
 	// virtual vectors live inside one span of spanBits bits, so a 32-bit
-	// CPU still reads the whole vector with one access.
-	nSpans       uint64
-	spansPerWord uint64
-	spanBits     uint
-	rng          *flowhash.Rand
-	decode       []float64
+	// CPU still reads the whole vector with one access. spanBits is 32 or
+	// 64 and a word holds 2 or 1 spans, so Locate resolves a span to its
+	// word and bit base with shifts and masks, never a division.
+	nSpans    uint64
+	spanIdx   uint64 // nSpans-1 when nSpans is a power of two, else 0
+	spanPow2  bool   // reduce h by spanIdx rather than % nSpans
+	wordShift uint   // log2(spans per word): span>>wordShift is the word
+	subMask   uint64 // spans per word - 1: span&subMask is the span in its word
+	spanShift uint   // log2(spanBits): the sub-span's bit base
+	posMask   uint64 // spanBits-1: a draw's bit within the span
+	spanFull  uint64 // spanBits low bits set: the span at base 0
+	locSeed   uint64 // seeds the per-flow position stream
+	rng       *flowhash.Rand
+	decode    []float64
 
 	encodes     uint64
 	saturations uint64
@@ -143,16 +150,25 @@ func New(cfg Config) (*Counter, error) {
 		return nil, err
 	}
 	n := (full.MemoryBytes + 7) / 8
+	spanBits := uint(full.WordBits)
 	spansPerWord := uint64(wordBits / full.WordBits)
+	nSpans := uint64(n) * spansPerWord
 	c := &Counter{
-		cfg:          full,
-		words:        make([]uint64, n),
-		nWords:       uint64(n),
-		nSpans:       uint64(n) * spansPerWord,
-		spansPerWord: spansPerWord,
-		spanBits:     uint(full.WordBits),
-		rng:          flowhash.NewRand(full.Seed ^ 0xC0FFEE),
-		decode:       decodeTable(full),
+		cfg:       full,
+		words:     make([]uint64, n),
+		nSpans:    nSpans,
+		spanPow2:  nSpans&(nSpans-1) == 0,
+		wordShift: uint(bits.TrailingZeros64(spansPerWord)),
+		subMask:   spansPerWord - 1,
+		spanShift: uint(bits.TrailingZeros(spanBits)),
+		posMask:   uint64(spanBits - 1),
+		spanFull:  ^uint64(0) >> (wordBits - spanBits),
+		locSeed:   full.Seed + 0x9E3779B97F4A7C15,
+		rng:       flowhash.NewRand(full.Seed ^ 0xC0FFEE),
+		decode:    decodeTable(full),
+	}
+	if c.spanPow2 {
+		c.spanIdx = nSpans - 1
 	}
 	return c, nil
 }
@@ -189,37 +205,45 @@ func (c *Counter) Saturations() uint64 { return c.saturations }
 //
 //im:hotpath
 func (c *Counter) Locate(h uint64, loc *Location) {
-	span := h % c.nSpans
-	loc.Word = int(span / c.spansPerWord)
-	base := uint(span%c.spansPerWord) * c.spanBits
-	loc.N = c.cfg.VectorBits
-	loc.Mask = 0
+	var span uint64
+	if c.spanPow2 {
+		span = h & c.spanIdx
+	} else {
+		span = h % c.nSpans
+	}
+	loc.Word = int(span >> c.wordShift)
+	base := uint(span&c.subMask) << c.spanShift
+	n := c.cfg.VectorBits
+	loc.N = n
 
 	// Derive v distinct bit positions within the span from an independent
 	// stream of h. Rejection sampling against the accumulating mask is
 	// cheap for v well below the span size and exact for dense vectors
-	// thanks to the select fallback below.
-	spanMask := (^uint64(0) >> (wordBits - c.spanBits)) << base
-	s := flowhash.Mix64(h ^ (c.cfg.Seed + 0x9E3779B97F4A7C15))
-	for i := 0; i < loc.N; i++ {
+	// thanks to the select fallback below. spanBits is a power of two, so
+	// masking a draw equals reducing it modulo spanBits.
+	var mask uint64
+	s := flowhash.Mix64(h ^ c.locSeed)
+	positions := loc.Pos[:n]
+	for i := range positions {
 		var pos uint
 		for tries := 0; ; tries++ {
 			s = flowhash.Mix64(s)
-			pos = base + uint(s%uint64(c.spanBits))
-			if loc.Mask&(1<<pos) == 0 {
+			pos = base + uint(s&c.posMask)
+			if mask&(1<<pos) == 0 {
 				break
 			}
 			if tries == 8 {
 				// Dense vector: pick the k-th free span position directly.
-				free := spanMask &^ loc.Mask
+				free := (c.spanFull << base) &^ mask
 				k := int(s % uint64(bits.OnesCount64(free)))
 				pos = uint(selectBit(free, k))
 				break
 			}
 		}
-		loc.Pos[i] = uint8(pos)
-		loc.Mask |= 1 << pos
+		positions[i] = uint8(pos)
+		mask |= 1 << pos
 	}
+	loc.Mask = mask
 }
 
 // Encode records one packet of the flow with hash h. It reports the noise

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"testing"
 	"time"
@@ -76,7 +77,10 @@ func TestPcapSourceNextBatch(t *testing.T) {
 	}
 	// 530 packets through 64-packet batches: the tail is a 18-packet short
 	// read with nil error, EOF arrives on the call after.
-	src := NewPcapSource(r)
+	src, err := NewPcapSource(r)
+	if err != nil {
+		t.Fatal(err)
+	}
 	got := drainBatches(t, src, 64)
 	if len(got) != len(tr.Packets) {
 		t.Fatalf("read %d packets, want %d", len(got), len(tr.Packets))
@@ -105,7 +109,10 @@ func TestPcapSourceDeferredErrorDelivery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := NewPcapSource(r)
+	src, err := NewPcapSource(r)
+	if err != nil {
+		t.Fatal(err)
+	}
 	batch := make([]packet.Packet, 4096)
 	n, err := src.NextBatch(batch)
 	if err != nil {
@@ -189,3 +196,44 @@ func TestPacedSourceNextBatchScalarFallback(t *testing.T) {
 type scalarOnly struct{ inner Source }
 
 func (s scalarOnly) Next() (packet.Packet, error) { return s.inner.Next() }
+
+// TestPcapSourceNextBatchZeroAlloc: decoding and parsing a batch of
+// well-formed Ethernet frames allocates nothing in the steady state.
+func TestPcapSourceNextBatchZeroAlloc(t *testing.T) {
+	const (
+		runs  = 200
+		batch = 16
+	)
+	tr, err := GenerateZipf(ZipfConfig{Flows: 100, TotalPackets: (runs + 2) * batch, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := tr.WritePcap(&buf, 64); err != nil {
+		t.Fatal(err)
+	}
+	r, err := pcap.NewReader(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := NewPcapSource(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkts := make([]packet.Packet, batch)
+	var batchErr error
+	allocs := testing.AllocsPerRun(runs, func() {
+		if n, err := src.NextBatch(pkts); err != nil || n != batch {
+			batchErr = fmt.Errorf("NextBatch = %d, %v; want a full batch", n, err)
+		}
+	})
+	if batchErr != nil {
+		t.Fatal(batchErr)
+	}
+	if allocs != 0 {
+		t.Errorf("PcapSource.NextBatch: %.2f allocs/batch, want 0", allocs)
+	}
+	if src.Skipped != 0 {
+		t.Errorf("skipped %d frames of a well-formed capture", src.Skipped)
+	}
+}

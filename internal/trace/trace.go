@@ -179,76 +179,89 @@ func (s *sliceSource) NextBatch(buf []packet.Packet) (int, error) {
 	return n, nil
 }
 
+// ErrLinkType rejects a capture whose link layer PcapSource cannot parse.
+var ErrLinkType = errors.New("trace: unsupported link type")
+
 // PcapSource replays a pcap stream as a Source, parsing each frame into a
 // flow key. Frames that are not IP or carry an unsupported L4 protocol are
 // counted and skipped.
 type PcapSource struct {
-	r       *pcap.Reader
+	r *pcap.Reader
+	// raw is the link type resolved once at open: bare IP (DLT_RAW)
+	// rather than Ethernet framing.
+	raw     bool
 	Skipped int
 	// deferred holds an error encountered mid-NextBatch, delivered on the
 	// next read so partial batches are never paired with an error.
 	deferred error
 }
 
-// NewPcapSource wraps an open pcap reader.
-func NewPcapSource(r *pcap.Reader) *PcapSource {
-	return &PcapSource{r: r}
+// NewPcapSource wraps an open pcap reader. A capture whose link type is
+// neither Ethernet nor raw IP is rejected here, before any record is read.
+func NewPcapSource(r *pcap.Reader) (*PcapSource, error) {
+	switch lt := r.LinkType(); lt {
+	case pcap.LinkEthernet:
+		return &PcapSource{r: r}, nil
+	case pcap.LinkRaw:
+		return &PcapSource{r: r, raw: true}, nil
+	default:
+		return nil, fmt.Errorf("%w %d", ErrLinkType, lt)
+	}
 }
 
 // Next returns the next parseable packet, io.EOF at end of stream.
 func (s *PcapSource) Next() (packet.Packet, error) {
-	if s.deferred != nil {
-		err := s.deferred
-		s.deferred = nil
+	var p [1]packet.Packet
+	if _, err := s.NextBatch(p[:]); err != nil {
 		return packet.Packet{}, err
 	}
+	return p[0], nil
+}
+
+// read parses the next parseable frame into *p, skipping (and counting)
+// frames that are not IP or lack ports. On error *p is the zero Packet.
+func (s *PcapSource) read(p *packet.Packet) error {
 	for {
 		rec, err := s.r.Next()
-		if errors.Is(err, io.EOF) {
-			return packet.Packet{}, io.EOF
-		}
 		if err != nil {
-			return packet.Packet{}, err
+			return err
 		}
-		var p packet.Packet
-		switch s.r.LinkType() {
-		case pcap.LinkEthernet:
-			p, err = packet.ParseEthernet(rec.Data, rec.WireLen, rec.TS)
-		case pcap.LinkRaw:
-			p, err = packet.ParseIP(rec.Data, rec.WireLen, rec.TS)
-		default:
-			return packet.Packet{}, fmt.Errorf("trace: unsupported link type %d", s.r.LinkType())
+		if s.raw {
+			*p, err = packet.ParseIP(rec.Data, rec.WireLen, rec.TS)
+		} else {
+			*p, err = packet.ParseEthernet(rec.Data, rec.WireLen, rec.TS)
 		}
-		if err != nil {
-			if errors.Is(err, packet.ErrNotIP) || errors.Is(err, packet.ErrUnsupportedL4) ||
-				errors.Is(err, packet.ErrTruncated) {
-				s.Skipped++
-				continue
-			}
-			return packet.Packet{}, err
+		if err == nil {
+			return nil
 		}
-		return p, nil
+		if errors.Is(err, packet.ErrNotIP) || errors.Is(err, packet.ErrUnsupportedL4) ||
+			errors.Is(err, packet.ErrTruncated) {
+			s.Skipped++
+			continue
+		}
+		return err
 	}
 }
 
-// NextBatch parses up to len(buf) frames into buf. The tail of the capture
-// is delivered as a short read; the terminating error (io.EOF or a parse
-// failure) follows on the next call.
+// NextBatch parses up to len(buf) frames straight into buf. The tail of the
+// capture is delivered as a short read; the terminating error (io.EOF or a
+// parse failure) follows on the next call.
 func (s *PcapSource) NextBatch(buf []packet.Packet) (int, error) {
-	n := 0
-	for n < len(buf) {
-		p, err := s.Next()
-		if err != nil {
+	if s.deferred != nil {
+		err := s.deferred
+		s.deferred = nil
+		return 0, err
+	}
+	for n := range buf {
+		if err := s.read(&buf[n]); err != nil {
 			if n > 0 {
 				s.deferred = err
 				return n, nil
 			}
 			return 0, err
 		}
-		buf[n] = p
-		n++
 	}
-	return n, nil
+	return len(buf), nil
 }
 
 // WritePcap writes the trace to w as an Ethernet pcap capture with the
@@ -274,7 +287,10 @@ func ReadPcap(r io.Reader) (*Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	src := NewPcapSource(pr)
+	src, err := NewPcapSource(pr)
+	if err != nil {
+		return nil, err
+	}
 	var pkts []packet.Packet
 	for {
 		p, err := src.Next()

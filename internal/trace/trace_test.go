@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"instameasure/internal/packet"
+	"instameasure/internal/pcap"
 )
 
 func mkPkt(flow int, ln uint16, ts int64) packet.Packet {
@@ -158,5 +159,38 @@ func TestPcapSourceSkipsNonIP(t *testing.T) {
 	}
 	if got.Flows() != tr.Flows() {
 		t.Error("clean capture lost flows")
+	}
+}
+
+// sllCapture is a Linux-cooked (DLT 113) capture with one record — a link
+// layer PcapSource cannot parse.
+func sllCapture(t *testing.T) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w := pcap.NewWriter(&buf, pcap.LinkType(113), 0)
+	if err := w.Write(1e9, 60, make([]byte, 60)); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+func TestPcapSourceRejectsUnsupportedLinkAtOpen(t *testing.T) {
+	raw := sllCapture(t)
+	r, err := pcap.NewReader(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if src, err := NewPcapSource(r); !errors.Is(err, ErrLinkType) || src != nil {
+		t.Fatalf("NewPcapSource on DLT 113 = %v, %v; want nil, ErrLinkType", src, err)
+	}
+	// Rejection happens at open: the first record is still unread.
+	if rec, err := r.Next(); err != nil || len(rec.Data) != 60 {
+		t.Fatalf("first record after rejection: %d bytes, %v; want it unconsumed", len(rec.Data), err)
+	}
+	if _, err := ReadPcap(bytes.NewReader(raw)); !errors.Is(err, ErrLinkType) {
+		t.Fatalf("ReadPcap on DLT 113 err = %v, want ErrLinkType", err)
 	}
 }

@@ -131,13 +131,18 @@ func GenerateSuperSpreaderTrace(cfg SuperSpreaderConfig) (*Trace, AttackTruth, e
 
 // OpenPcapStream returns a PacketSource that decodes a classic-libpcap
 // stream incrementally — constant memory regardless of capture size, for
-// live pipes and very large files. Non-IP frames are skipped.
+// live pipes and very large files. Non-IP frames are skipped. A capture
+// whose link type is neither Ethernet nor raw IP is rejected here.
 func OpenPcapStream(r io.Reader) (PacketSource, error) {
 	pr, err := pcap.NewReader(r)
 	if err != nil {
 		return nil, fmt.Errorf("instameasure: %w", err)
 	}
-	return trace.NewPcapSource(pr), nil
+	src, err := trace.NewPcapSource(pr)
+	if err != nil {
+		return nil, fmt.Errorf("instameasure: %w", err)
+	}
+	return src, nil
 }
 
 // ReadPcap materializes a classic-libpcap capture stream into a Trace.
